@@ -81,6 +81,17 @@ var bbvFaultPrograms = []struct {
 		sel: "go",
 	},
 	{
+		// Split's type analysis proves x is an int and compiles the
+		// failed lookup as a stub; bbv leaves the send dynamic and the
+		// lookup fails at run time. The fault must read the same.
+		name: "does-not-understand-analyzed",
+		src: `
+		inner = ( | x | x: 3. x zork ).
+		mid = ( inner ).
+		go = ( mid ).`,
+		sel: "go",
+	},
+	{
 		name: "divide-by-zero",
 		src: `
 		shrink: n = ( (n = 0) ifTrue: [ ^ 10 / n ]. shrink: n - 1 ).
@@ -202,13 +213,7 @@ func FuzzBBVDifferential(f *testing.F) {
 					t.Fatalf("fault kind diverged:\nsplit: kind=%v msg=%q\nbbv: kind=%v msg=%q",
 						sre.Kind, sre.Msg, bre.Kind, bre.Msg)
 				}
-				// DNU spelling depends on WHEN the lookup fails: split's
-				// type analysis can prove the failure at compile time
-				// (an ir.Fail stub), while bbv leaves the send dynamic
-				// and faults at run time. Same taxonomy, different
-				// resolution time — so the kind must match but the
-				// message text is only compared for the other kinds.
-				if sre.Kind != selfgo.KindDoesNotUnderstand && sre.Msg != bre.Msg {
+				if sre.Msg != bre.Msg {
 					t.Fatalf("fault message diverged:\nsplit: kind=%v msg=%q\nbbv: kind=%v msg=%q",
 						sre.Kind, sre.Msg, bre.Kind, bre.Msg)
 				}

@@ -275,14 +275,6 @@ go test -run=NONE -bench=BenchmarkHost -benchtime=1x .
 echo "== adaptive smoke"
 go run ./cmd/selfbench -bench richards -tier adaptive -promote 50 -assert-promoted -q
 
-# Native smoke: the closure-threaded top tier. Eager native mode must
-# keep richards' check value, and the adaptive schedule must climb
-# both promotion rungs (baseline → optimizing → native) on it
-# (-assert-native fails otherwise).
-echo "== native smoke"
-go run ./cmd/selfbench -bench richards -tier native -q
-go run ./cmd/selfbench -bench richards -tier adaptive -promote 50 -assert-promoted -assert-native -q
-
 # Tier differential: -tier=opt must stay bit-identical to the
 # hand-built pre-tiering compile path in every modelled quantity,
 # across the full benchmark suite.
@@ -323,10 +315,9 @@ done
     -expr '| s <- 0 | 1 upTo: 1000 Do: [ :i | s: s + i ]. s' \
     -check-int -expect-int 499500 -fail-on-error -assert-compile-once \
     -assert-pool-moves -q
-# named-benchmark traffic: adaptive promotion must land, and the hot
-# method must climb the second rung to the native tier under live load.
+# named-benchmark traffic: adaptive promotion must land under live load.
 /tmp/ci-selfload -url "$url" -c 8 -n 150 -bench sumTo \
-    -fail-on-error -min-promotions 1 -min-native-compiles 1 -q
+    -fail-on-error -min-promotions 1 -q
 kill -TERM "$server_pid"
 wait "$server_pid" || { echo "ci: selfserved did not drain cleanly"; cat "$server_log"; exit 1; }
 trap - EXIT
@@ -402,8 +393,6 @@ if [ "$short" != "-short" ]; then
     go test -run '^$' -fuzz '^FuzzDecodeEvalRequest$' -fuzztime 10s ./internal/wire
     echo "== fuzz smoke: FuzzDecodeRunRequest"
     go test -run '^$' -fuzz '^FuzzDecodeRunRequest$' -fuzztime 5s ./internal/wire
-    echo "== fuzz smoke: FuzzNativeDifferential"
-    go test -run '^$' -fuzz '^FuzzNativeDifferential$' -fuzztime 10s .
     echo "== fuzz smoke: FuzzBBVDifferential"
     go test -run '^$' -fuzz '^FuzzBBVDifferential$' -fuzztime 10s .
     echo "== fuzz smoke: FuzzImageDecode"

@@ -15,7 +15,6 @@
 //	selfbench -workers 8               # concurrent VMs against one shared code cache
 //	selfbench -hostbench               # host wall-clock speed (BENCH_host.json schema)
 //	selfbench -tier adaptive -promote 50 -bench richards   # adaptive-mode measurement
-//	selfbench -tier native -bench richards                 # eager closure-threaded backend
 //	selfbench -list                    # list benchmarks
 package main
 
@@ -24,8 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"selfgo"
@@ -40,52 +37,31 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress output")
 	workers := flag.Int("workers", 0, "run benchmarks on N concurrent VMs sharing one code cache")
 	reps := flag.Int("reps", 4, "with -workers: benchmark runs per worker")
-	configName := flag.String("config", "new", "compiler config (new, new-multi, old89, old90, st80, c); used by -workers and -hostbench")
-	tierName := flag.String("tier", "opt", "tier schedule: opt (eager optimizing), baseline, adaptive, native (eager closure-threaded backend)")
-	strategyName := flag.String("strategy", "split", "specialization strategy for -workers/-hostbench/-bench/-tier runs: split, bbv, both")
-	promote := flag.Int64("promote", 0, "adaptive promotion threshold (invocations+backedges; 0 = default)")
+	comp := cli.CompilerFlags(flag.CommandLine)
 	assertPromoted := flag.Bool("assert-promoted", false, "with -tier adaptive: exit nonzero unless every measured benchmark installs >= 1 promotion")
-	assertNative := flag.Bool("assert-native", false, "with -tier adaptive: exit nonzero unless every measured benchmark climbs the second rung (>= 1 native-tier compile)")
 	timeout := flag.Duration("timeout", 0, "with -workers: wall-clock limit per benchmark measurement (e.g. 30s)")
 	fuel := flag.Int64("fuel", 0, "with -workers: instruction budget per benchmark run")
 	hostbench := flag.Bool("hostbench", false, "measure host wall-clock speed per benchmark and print BENCH_host.json to stdout")
 	hostbase := flag.String("hostbase", "", "with -hostbench: previous BENCH_host.json to carry as baseline and compute the geomean speedup against")
 	allocguard := flag.String("allocguard", "", "with -hostbench: committed BENCH_host.json to guard against — exit nonzero if allocsPerOp or bytesPerOp regress more than 10% on matching records")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	profiles := cli.ProfileFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer writeMemProfile(*memprofile)
-	}
-
-	strat, err := selfgo.StrategyByName(*strategyName)
+	stopProfiles, err := profiles.Start("selfbench")
 	if err != nil {
 		fatal(err)
 	}
-	// loadCfg resolves -config with -strategy applied (and the name
-	// suffixed so strategy-distinct runs never collide in caches or
-	// output labels).
+	defer stopProfiles()
+
+	// loadCfg resolves -config with -strategy applied, and suffixes the
+	// name so strategy-distinct runs never collide in caches or output
+	// labels.
 	loadCfg := func() (selfgo.Config, error) {
-		cfg, err := cli.ConfigByName(*configName)
-		if err != nil {
-			return cfg, err
+		cfg, err := comp.Config()
+		if err == nil && cfg.Strategy != selfgo.StrategySplit {
+			cfg.Name = fmt.Sprintf("%s (%s)", cfg.Name, cfg.Strategy)
 		}
-		if strat != selfgo.StrategySplit {
-			cfg.Strategy = strat
-			cfg.Name = fmt.Sprintf("%s (%s)", cfg.Name, strat)
-		}
-		return cfg, nil
+		return cfg, err
 	}
 
 	if *list {
@@ -111,7 +87,7 @@ func main() {
 		return
 	}
 
-	mode, err := selfgo.TierModeByName(*tierName)
+	mode, err := comp.Mode()
 	if err != nil {
 		fatal(err)
 	}
@@ -121,7 +97,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := runHostBench(cfg, mode, *promote, *one, *hostbase, *allocguard, *quiet); err != nil {
+		if err := runHostBench(cfg, mode, comp.Promote, *one, *hostbase, *allocguard, *quiet); err != nil {
 			fatal(err)
 		}
 		return
@@ -132,7 +108,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := runTiered(cfg, mode, *promote, *one, *assertPromoted, *assertNative, *quiet); err != nil {
+		if err := runTiered(cfg, mode, comp.Promote, *one, *assertPromoted, *quiet); err != nil {
 			fatal(err)
 		}
 		return
@@ -256,9 +232,8 @@ func runWorkers(cfg selfgo.Config, workers, reps int, filter string, lim bench.L
 // under a non-default tier schedule, printing the cold-vs-steady
 // modelled cost and the promotion activity. With assertPromoted, it
 // fails unless each measured benchmark installed at least one
-// promotion; with assertNative, unless each climbed all the way to the
-// native tier — the CI smoke checks for adaptive mode.
-func runTiered(cfg selfgo.Config, mode selfgo.TierMode, threshold int64, filter string, assertPromoted, assertNative, quiet bool) error {
+// promotion — the CI smoke check for adaptive mode.
+func runTiered(cfg selfgo.Config, mode selfgo.TierMode, threshold int64, filter string, assertPromoted, quiet bool) error {
 	benches := bench.All()
 	if filter != "" {
 		b, ok := bench.ByName(filter)
@@ -270,24 +245,20 @@ func runTiered(cfg selfgo.Config, mode selfgo.TierMode, threshold int64, filter 
 	if !quiet {
 		fmt.Printf("tier schedule %q, config %q, promotion threshold %d\n\n", mode, cfg.Name, threshold)
 	}
-	fmt.Printf("%-12s %12s %14s %14s %10s %8s %10s %10s %12s\n",
-		"benchmark", "value", "cold cycles", "steady cycles", "promoted", "native", "fails", "discards", "mean promote")
+	fmt.Printf("%-12s %12s %14s %14s %10s %10s %10s %12s\n",
+		"benchmark", "value", "cold cycles", "steady cycles", "promoted", "fails", "discards", "mean promote")
 	for _, b := range benches {
 		m, err := bench.RunTiered(b, cfg, mode, threshold)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-12s %12d %14d %14d %10d %8d %10d %10d %12s\n",
+		fmt.Printf("%-12s %12d %14d %14d %10d %10d %10d %12s\n",
 			m.Bench, m.Value, m.FirstRun.Cycles, m.SteadyRun.Cycles,
-			m.Promotions.Installed, m.TierCounts["native"], m.Promotions.Fails, m.Promotions.Discards,
+			m.Promotions.Installed, m.Promotions.Fails, m.Promotions.Discards,
 			m.Promotions.MeanLatency.Round(time.Microsecond))
 		if assertPromoted && mode == selfgo.ModeAdaptive && m.Promotions.Installed < 1 {
 			return fmt.Errorf("%s: adaptive run installed no promotions (RunStats promotions=%d)",
 				m.Bench, m.FirstRun.Promotions)
-		}
-		if assertNative && mode == selfgo.ModeAdaptive && m.TierCounts["native"] < 1 {
-			return fmt.Errorf("%s: adaptive run never reached the native tier (tier counts %v)",
-				m.Bench, m.TierCounts)
 		}
 	}
 	return nil
@@ -366,19 +337,6 @@ func runHostBench(cfg selfgo.Config, mode selfgo.TierMode, threshold int64, filt
 	}
 	fmt.Println(string(data))
 	return nil
-}
-
-func writeMemProfile(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "selfbench:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "selfbench:", err)
-	}
 }
 
 func fatal(err error) {

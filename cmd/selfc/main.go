@@ -25,13 +25,13 @@ import (
 )
 
 func main() {
-	configName := flag.String("config", "new", "compiler: new, new-multi, old89, old90, st80, c")
+	comp := cli.ConfigFlag(flag.CommandLine)
 	dump := flag.String("dump", "cfg", "comma-separated: cfg, dot, code, stats")
 	expr := flag.String("e", "", "inline source instead of a file")
 	annotate := flag.Bool("types", false, "annotate the CFG with incoming operand types")
 	flag.Parse()
 
-	cfg, err := cli.ConfigByName(*configName)
+	cfg, err := comp.Config()
 	if err != nil {
 		fatal(err)
 	}

@@ -23,9 +23,8 @@
 // assert serving-layer invariants from the server's own /metrics —
 // that the shared code cache compiled nothing new under steady load
 // (-assert-compile-once), that background tier promotions landed
-// (-min-promotions), that hot methods climbed the second rung to the
-// closure-threaded native tier (-min-native-compiles), and that
-// overload was shed, not queued forever (-min-429). -scrape NAME
+// (-min-promotions), and that overload was shed, not queued forever
+// (-min-429). -scrape NAME
 // prints one /metrics value and exits, so shell scripts can read
 // per-replica counters without a curl|grep pipeline. -json emits the
 // whole run summary as one JSON object on stdout for scripted
@@ -75,8 +74,7 @@ func main() {
 
 		assertOnce    = flag.Bool("assert-compile-once", false, "fail if codecache misses grow between warm-up and end of run")
 		minPromotions = flag.Int64("min-promotions", 0, "wait for at least this many installed promotions in /metrics")
-		minNative     = flag.Int64("min-native-compiles", 0, "wait for at least this many native-tier compiles in /metrics (second promotion rung)")
-		promotionWait = flag.Duration("promotion-wait", 10*time.Second, "how long to poll /metrics for -min-promotions / -min-native-compiles")
+		promotionWait = flag.Duration("promotion-wait", 10*time.Second, "how long to poll /metrics for -min-promotions")
 		min429        = flag.Int("min-429", 0, "fail unless at least this many requests were shed with 429")
 		assertPool    = flag.Bool("assert-pool-moves", false, "fail unless pool occupancy rose above zero during the run — live selfserved_pool_in_use samples or the server's checkout high-water mark (gauges must track live occupancy, not config)")
 		scrape        = flag.String("scrape", "", "print one value scraped from /metrics and exit (bare name or fully-labelled series)")
@@ -297,17 +295,6 @@ func main() {
 			fail = true
 		} else if !*quiet {
 			out("promotions installed: %d", got)
-		}
-	}
-	if *minNative > 0 {
-		// Same deal one rung up: second-rung promotions recompile at
-		// the native tier on background goroutines.
-		got := pollCounter(client, *base, `selfgo_compiles_total{tier="native"}`, *minNative, *promotionWait)
-		if got < *minNative {
-			log.Printf("FAIL: %d native-tier compiles, want >= %d", got, *minNative)
-			fail = true
-		} else if !*quiet {
-			out("native-tier compiles: %d", got)
 		}
 	}
 
@@ -555,7 +542,7 @@ func errText(res *wire.Result) string {
 }
 
 // scrapeCounter fetches one counter from /metrics — name may be a bare
-// metric or a fully-labelled series like `x_total{tier="native"}`; -1
+// metric or a fully-labelled series like `x_total{tier="optimizing"}`; -1
 // means the scrape or the metric was missing.
 func scrapeCounter(c *http.Client, base, name string) int64 {
 	resp, err := c.Get(strings.TrimRight(base, "/") + "/metrics")

@@ -14,8 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,10 +25,7 @@ import (
 )
 
 func main() {
-	configName := flag.String("config", "new", "compiler: new, new-multi, old89, old90, st80, c")
-	tierName := flag.String("tier", "opt", "tier schedule: opt (eager optimizing), baseline, adaptive, native (eager closure-threaded backend)")
-	strategyName := flag.String("strategy", "split", "specialization strategy: split (iterative analysis + splitting), bbv (lazy basic-block versioning), both")
-	promote := flag.Int64("promote", 0, "adaptive promotion threshold (invocations+backedges; 0 = default)")
+	comp := cli.CompilerFlags(flag.CommandLine)
 	expr := flag.String("e", "", "evaluate an expression sequence instead of calling a selector")
 	argList := flag.String("args", "", "comma-separated integer arguments for the selector")
 	stats := flag.Bool("stats", false, "print run statistics")
@@ -38,34 +33,20 @@ func main() {
 	workers := flag.Int("workers", 0, "run the selector on N concurrent VMs sharing one code cache")
 	timeout := flag.Duration("timeout", 0, "abort the run after this wall-clock duration (e.g. 5s)")
 	fuel := flag.Int64("fuel", 0, "abort the run after this many interpreted instructions")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	profiles := cli.ProfileFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := profiles.Start("selfrun")
+	if err != nil {
+		fatal(err)
 	}
-	if *memprofile != "" {
-		defer writeMemProfile(*memprofile)
-	}
+	defer stopProfiles()
 
-	cfg, err := cli.ConfigByName(*configName)
+	cfg, err := comp.Config()
 	if err != nil {
 		fatal(err)
 	}
-	strat, err := selfgo.StrategyByName(*strategyName)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Strategy = strat
-	mode, err := selfgo.TierModeByName(*tierName)
+	mode, err := comp.Mode()
 	if err != nil {
 		fatal(err)
 	}
@@ -74,9 +55,9 @@ func main() {
 		if *expr != "" {
 			fatal(fmt.Errorf("-workers runs a selector; it cannot be combined with -e"))
 		}
-		sys, err = selfgo.NewTieredSystem(cfg, mode, *promote)
+		sys, err = selfgo.NewTieredSystem(cfg, mode, comp.Promote)
 	} else if mode != selfgo.ModeOpt {
-		sys, err = selfgo.NewTieredSystem(cfg, mode, *promote)
+		sys, err = selfgo.NewTieredSystem(cfg, mode, comp.Promote)
 	} else {
 		sys, err = selfgo.NewSystem(cfg)
 	}
@@ -186,10 +167,10 @@ func main() {
 			sys.DrainPromotions()
 			ps := sys.PromotionStats()
 			tiers := sys.TierCounts()
-			fmt.Printf("adaptive: harvests=%d promotions=%d installed=%d fails=%d discards=%d meanLatency=%v compiles=[baseline %d, optimizing %d, native %d, degraded %d]\n",
+			fmt.Printf("adaptive: harvests=%d promotions=%d installed=%d fails=%d discards=%d meanLatency=%v compiles=[baseline %d, optimizing %d, degraded %d]\n",
 				res.Run.Harvests, res.Run.Promotions, ps.Installed, ps.Fails, ps.Discards,
 				ps.MeanLatency.Round(time.Microsecond),
-				tiers["baseline"], tiers["optimizing"], tiers["native"], tiers["degraded"])
+				tiers["baseline"], tiers["optimizing"], tiers["degraded"])
 		}
 	}
 }
@@ -248,19 +229,6 @@ func runWorkers(ctx context.Context, root *selfgo.System, n int, sel string, arg
 		}
 	}
 	return nil
-}
-
-func writeMemProfile(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "selfrun:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "selfrun:", err)
-	}
 }
 
 func fatal(err error) {

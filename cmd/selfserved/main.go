@@ -30,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"selfgo"
 	"selfgo/internal/cli"
 	"selfgo/internal/server"
 	"selfgo/internal/wire"
@@ -38,11 +37,8 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", "127.0.0.1:8673", "listen address (use :0 for an ephemeral port)")
-		cfgName  = flag.String("config", "new", "compiler configuration: "+strings.Join(cli.Names(), ", "))
-		tier     = flag.String("tier", "opt", "tier schedule: opt, baseline, adaptive or native")
-		promote  = flag.Int64("promote", 0, "adaptive promotion threshold (0 = default)")
-		strategy = flag.String("strategy", "split", "specialization strategy: split, bbv or both")
+		addr = flag.String("addr", "127.0.0.1:8673", "listen address (use :0 for an ephemeral port)")
+		comp = cli.CompilerFlags(flag.CommandLine)
 
 		pool  = flag.Int("pool", 4, "worker VMs sharing the world and code cache")
 		queue = flag.Int("queue", 16, "admission queue depth before shedding with 429")
@@ -67,23 +63,18 @@ func main() {
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("selfserved: ")
 
-	cfg, err := cli.ConfigByName(*cfgName)
+	cfg, err := comp.Config()
 	if err != nil {
 		log.Fatal(err)
 	}
-	strat, err := selfgo.StrategyByName(*strategy)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg.Strategy = strat
-	mode, err := selfgo.TierModeByName(*tier)
+	mode, err := comp.Mode()
 	if err != nil {
 		log.Fatal(err)
 	}
 	scfg := server.Config{
 		Compiler:         cfg,
 		Mode:             mode,
-		PromoteThreshold: *promote,
+		PromoteThreshold: comp.Promote,
 		Pool:             *pool,
 		QueueDepth:       *queue,
 		MaxInstrs:        *maxInstrs,

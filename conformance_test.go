@@ -160,12 +160,10 @@ var conformancePrograms = []struct {
 		sel: "go", want: 3005,
 	},
 
-	// The remaining programs stress edge cases of the closure-threaded
-	// native backend (internal/vm/backend_native.go): non-local return
-	// unwinding through closure-dispatched frames, escaped closures
+	// The remaining programs stress the interpreter's frame handling:
+	// non-local return unwinding through send chains, escaped closures
 	// outliving their frames, deep recursion across the frame pool, and
-	// polymorphic sends interleaved with block invocation — the shapes
-	// most likely to diverge between runFast and runNative.
+	// polymorphic sends interleaved with block invocation.
 	{
 		// ^ inside the withIndexDo: block non-locally returns out of
 		// findIn:, unwinding through the prelude's loop activations.

@@ -186,6 +186,45 @@ func TestImageManifestRestoresTiers(t *testing.T) {
 	}
 }
 
+// TestImageRestoresNativeLabelAtOptimizing: images written by builds
+// with a native top tier label those manifest entries "native". That
+// code was the optimizing tier's instruction stream, so the entries
+// must pre-promote at the optimizing tier, not fall back to baseline.
+func TestImageRestoresNativeLabelAtOptimizing(t *testing.T) {
+	sys, err := NewTieredSystem(NewSELF, ModeAdaptive, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadSource(warmSrc); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		if _, err := sys.Call("churn:", IntValue(20)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.DrainPromotions()
+
+	boot := saveRestore(t, sys, nil, ModeAdaptive)
+	relabelled := 0
+	for i := range boot.manifest {
+		if boot.manifest[i].Tier == "optimizing" {
+			boot.manifest[i].Tier = "native"
+			relabelled++
+		}
+	}
+	if relabelled == 0 {
+		t.Fatal("warmup promoted nothing; test needs an optimizing-tier entry")
+	}
+	if compiled, failed := boot.Prepromote(2); failed != 0 || compiled != boot.ManifestLen() {
+		t.Fatalf("Prepromote: compiled=%d failed=%d of %d", compiled, failed, boot.ManifestLen())
+	}
+	if n := boot.Sys.TierCounts()["optimizing"]; n != relabelled {
+		t.Fatalf("%d optimizing-tier pre-promotions, want %d (one per native-labelled entry); tiers %v",
+			n, relabelled, boot.Sys.TierCounts())
+	}
+}
+
 // TestImageReclassificationOracle: mutating a map after restore must
 // invalidate restored compiled code exactly like it does on a world
 // that was never snapshotted — same values, same RunStats, same

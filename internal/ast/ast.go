@@ -179,8 +179,12 @@ type File struct {
 
 // --- Printing (used by tests and cmd/selfc -dump-ast) ---
 
+// strEscaper renders a string literal's value so the lexer reads the
+// same value back.
+var strEscaper = strings.NewReplacer(`\`, `\\`, `'`, `\'`)
+
 func (e *IntLit) String() string { return fmt.Sprintf("%d", e.Value) }
-func (e *StrLit) String() string { return fmt.Sprintf("'%s'", e.Value) }
+func (e *StrLit) String() string { return "'" + strEscaper.Replace(e.Value) + "'" }
 func (e *Ident) String() string  { return e.Name }
 
 func (e *UnaryMsg) String() string {

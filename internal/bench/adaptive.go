@@ -44,10 +44,9 @@ func RunTiered(b Benchmark, cfg selfgo.Config, mode selfgo.TierMode, threshold i
 	if err != nil {
 		return nil, fmt.Errorf("%s under %s/%s: %w", b.Name, cfg.Name, mode, err)
 	}
-	// Adaptive mode promotes in two rungs (baseline → optimizing →
-	// native), and the lap on freshly promoted code re-accrues the
-	// hotness that fires the next rung — so drain and re-run twice; the
-	// last lap is the steady state on fully promoted code.
+	// Drain and re-run twice: methods whose counts cross the threshold
+	// only during the first steady lap promote on it, so the last lap is
+	// the steady state on fully promoted code.
 	var steady *selfgo.Result
 	for i := 0; i < 2; i++ {
 		sys.DrainPromotions()

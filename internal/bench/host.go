@@ -38,7 +38,6 @@ type HostRecord struct {
 	TierMode           string `json:"tierMode,omitempty"`
 	BaselineCompiles   int    `json:"baselineCompiles,omitempty"`
 	OptimizingCompiles int    `json:"optimizingCompiles,omitempty"`
-	NativeCompiles     int    `json:"nativeCompiles,omitempty"`
 	DegradedCompiles   int    `json:"degradedCompiles,omitempty"`
 	Promotions         int64  `json:"promotions,omitempty"`
 	PromoteNsMean      int64  `json:"promoteNsMean,omitempty"`
@@ -92,10 +91,9 @@ func HostBenchOneMode(cfg selfgo.Config, b Benchmark, mode selfgo.TierMode, thre
 	}
 	if mode != selfgo.ModeOpt {
 		// Let in-flight promotions land and take another warm lap so
-		// the timed loop runs the promoted code. Adaptive mode has two
-		// promotion rungs (baseline → optimizing → native) and the lap
-		// on freshly promoted code re-accrues hotness for the next
-		// rung, so drain-and-lap twice to reach the top tier.
+		// the timed loop runs the promoted code. Methods whose counts
+		// cross the threshold only during that lap promote on it, so
+		// drain-and-lap twice.
 		for i := 0; i < 2; i++ {
 			sys.DrainPromotions()
 			if warm, err = sys.Call(b.Entry); err != nil {
@@ -141,7 +139,6 @@ func HostBenchOneMode(cfg selfgo.Config, b Benchmark, mode selfgo.TierMode, thre
 		tiers := sys.TierCounts()
 		rec.BaselineCompiles = tiers["baseline"]
 		rec.OptimizingCompiles = tiers["optimizing"]
-		rec.NativeCompiles = tiers["native"]
 		rec.DegradedCompiles = tiers["degraded"]
 		ps := sys.PromotionStats()
 		rec.Promotions = ps.Installed

@@ -276,12 +276,12 @@ func TestPromoteSingleFlight(t *testing.T) {
 	c.DrainPromotions()
 }
 
-// TestPromoteSecondRungDiscard: the promote-vs-invalidate window at
-// the *second* rung. A method already promoted once (baseline →
-// optimizing) is being promoted again (optimizing → native) when an
-// invalidation lands: the native code was built against the old world
-// shape and must be discarded, exactly as at the first rung — the
-// discard discipline is rung-agnostic.
+// TestPromoteSecondRungDiscard: the promote-vs-invalidate window at a
+// *second* rung. The cache lets a caller promote over already-promoted
+// code; when an invalidation lands while that second compile is in
+// flight, its code was built against the old world shape and must be
+// discarded, exactly as at the first rung — the discard discipline is
+// rung-agnostic.
 func TestPromoteSecondRungDiscard(t *testing.T) {
 	w := obj.NewWorld()
 	c := New[string]()
@@ -301,13 +301,13 @@ func TestPromoteSecondRungDiscard(t *testing.T) {
 		t.Fatalf("after first rung Peek = %q, %v", v, ok)
 	}
 
-	// Second rung: invalidate while the native compile is in flight.
+	// Second rung: invalidate while its compile is in flight.
 	compiling := make(chan struct{})
 	release := make(chan struct{})
 	if !c.Promote(k, func() (string, error) {
 		close(compiling)
 		<-release
-		return "native-code", nil
+		return "second-rung-code", nil
 	}, func(v string, err error, installed bool) { done <- installed }) {
 		t.Fatal("second-rung Promote refused")
 	}
@@ -317,12 +317,12 @@ func TestPromoteSecondRungDiscard(t *testing.T) {
 	}
 	close(release)
 	if <-done {
-		t.Fatal("native promotion installed over an invalidation")
+		t.Fatal("second-rung promotion installed over an invalidation")
 	}
 	c.DrainPromotions()
 
 	if _, ok := c.Peek(k); ok {
-		t.Fatal("invalidated key resident after discarded native promotion")
+		t.Fatal("invalidated key resident after discarded second-rung promotion")
 	}
 	st := c.Stats()
 	if st.Promotions != 1 || st.PromoteDiscards != 1 {

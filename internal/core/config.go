@@ -180,17 +180,6 @@ type Config struct {
 	// code relative to the SELF compilers' registerized output.
 	PerInstrOverhead int
 
-	// NativeBackend lowers assembled code into closure-threaded form
-	// (internal/vm/backend_native.go): one directly-called Go closure
-	// per instruction, branches as array indices. A host-speed backend
-	// selection with no effect on any modelled quantity — the native
-	// driver charges the identical per-instruction Cost/Instrs
-	// accounting, polls the budget at the same stride, and raises the
-	// same faults as the switch interpreter (pinned by the native
-	// differential oracle). Off in every preset; TierNative turns it
-	// on (see tier.go).
-	NativeBackend bool
-
 	// Strategy selects the specialization strategy (see the Strategy
 	// type): eager splitting (the zero value — the paper's system),
 	// lazy basic-block versioning, or both. ApplyStrategy derives the
@@ -212,9 +201,9 @@ type Config struct {
 // inlining) that BBV's run-time versioning then specializes; under
 // StrategyBoth the full eager repertoire stays on and versioning
 // removes what survives it. Both BBV strategies force the plain
-// unfused switch interpreter: versions anchor on per-instruction pcs,
-// so superinstruction fusion and the native backend are disabled (both
-// are host-speed engine selections with no modelled effect).
+// unfused interpreter: versions anchor on per-instruction pcs, so
+// superinstruction fusion (a host-speed choice with no modelled
+// effect) is disabled.
 func ApplyStrategy(c Config) Config {
 	switch c.Strategy {
 	case StrategyBBV:
@@ -226,10 +215,8 @@ func ApplyStrategy(c Config) Config {
 		c.MultiVersionLoops = false
 		c.ComparisonFacts = false
 		c.NoSuperinstructions = true
-		c.NativeBackend = false
 	case StrategyBoth:
 		c.NoSuperinstructions = true
-		c.NativeBackend = false
 	}
 	return c
 }

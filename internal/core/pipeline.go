@@ -158,10 +158,7 @@ func (p *Pipeline) CompileMethod(meth *obj.Method, rmap *obj.Map, fb *types.Feed
 	if err != nil {
 		return nil, st, err
 	}
-	c, err := p.assemble(g, st)
-	if err != nil {
-		return nil, st, err
-	}
+	c := p.assemble(g, st)
 	c.Origin = vm.Origin{Meth: meth, RMap: rmap}
 	return c, st, nil
 }
@@ -174,30 +171,18 @@ func (p *Pipeline) CompileBlock(blk *ast.Block, upNames []string, fb *types.Feed
 	if err != nil {
 		return nil, st, err
 	}
-	c, err := p.assemble(g, st)
-	if err != nil {
-		return nil, st, err
-	}
+	c := p.assemble(g, st)
 	c.IsBlock = true
 	return c, st, nil
 }
 
 // assemble is the pipeline's final pass: linearize, fuse (unless
-// disabled), lower to the native backend (when the tier-resolved
-// config selects it), label, and record the per-pass breakdown. A
-// lowering failure is a compile failure: the caller's degraded retry
-// (eager modes) or the promotion flight's keep-old-tier path (adaptive
-// mode) contains it.
-func (p *Pipeline) assemble(g *ir.Graph, st *Stats) (*vm.Code, error) {
+// disabled), label, and record the per-pass breakdown.
+func (p *Pipeline) assemble(g *ir.Graph, st *Stats) *vm.Code {
 	t0 := time.Now()
 	c := vm.Assemble(g)
 	if !p.Cfg.NoSuperinstructions {
 		vm.Fuse(c)
-	}
-	if p.Cfg.NativeBackend {
-		if err := vm.PrepareNative(c); err != nil {
-			return nil, fmt.Errorf("lowering %s to the native backend: %w", c.Name, err)
-		}
 	}
 	if p.Cfg.Strategy != StrategySplit {
 		vm.EnableBBV(c, p.Cfg.MaxVers)
@@ -213,5 +198,5 @@ func (p *Pipeline) assemble(g *ir.Graph, st *Stats) (*vm.Code, error) {
 		st.Passes[i] = PassStat{Name: ps.name, Enabled: ps.enabled(&p.Cfg), Events: ps.events(st)}
 	}
 	st.Passes[len(st.Passes)-1].Duration = asm
-	return c, nil
+	return c
 }

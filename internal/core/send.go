@@ -106,7 +106,8 @@ func (cp *compilation) sendStatic(f *flow, m *obj.Map, rr ir.Reg, sel string, ar
 	if res == nil {
 		// Message not understood: compile the error out of line.
 		n := cp.g.NewNode(ir.Fail)
-		n.Sel = "doesNotUnderstand: " + sel
+		n.Sel = sel
+		n.TestMap = m
 		n.Uncommon = true
 		cp.emit(f, n)
 		return nil, ir.NoReg

@@ -44,14 +44,6 @@ const (
 	// eager repertoire (whatever the preset enables). Apply is the
 	// identity for this tier.
 	TierOptimizing
-
-	// TierNative is the top tier: the optimizing configuration with the
-	// closure-threaded native backend switched on (Config.NativeBackend
-	// — see internal/vm/backend_native.go). The front end is untouched,
-	// so native code is instruction-for-instruction the optimizing
-	// tier's stream; only the execution engine changes, and the native
-	// differential oracle pins every modelled quantity bit-identical.
-	TierNative
 )
 
 func (t Tier) String() string {
@@ -62,8 +54,6 @@ func (t Tier) String() string {
 		return "baseline"
 	case TierOptimizing:
 		return "optimizing"
-	case TierNative:
-		return "native"
 	}
 	return fmt.Sprintf("tier(%d)", int(t))
 }
@@ -75,57 +65,49 @@ var keep keepT
 
 // tierRule says what each non-optimizing tier does to one Config
 // field: keep the base value, or force the given one. The optimizing
-// tier always keeps everything; the native tier keeps everything too
-// except the backend-selection knob it exists to set.
+// tier always keeps everything.
 type tierRule struct {
 	Field    string
 	Baseline any
 	Degraded any
-	Native   any
 }
 
 // tierTable is the single source of truth for tier derivation. It must
 // name every Config field exactly once — TestTierTableCoversConfig
 // fails the build's test run when a new knob is added without deciding
-// what the baseline, degraded and native tiers do with it.
+// what the baseline and degraded tiers do with it.
 var tierTable = []tierRule{
-	{"Name", keep, keep, keep}, // Apply appends the tier suffix itself
-	{"Customization", keep, keep, keep},
-	{"TypeAnalysis", false, false, keep},
-	{"RangeAnalysis", false, false, keep},
-	{"TypePrediction", keep, keep, keep},
-	{"InlineMethods", false, false, keep},
-	{"InlinePrimitives", keep, keep, keep},
-	{"LocalSplitting", keep, false, keep},
-	{"ExtendedSplitting", false, false, keep},
-	{"SplitNodeThreshold", keep, keep, keep},
-	{"MaxFlows", 4, 2, keep},
-	{"IterativeLoops", false, false, keep},
-	{"MultiVersionLoops", false, false, keep},
-	{"MaxLoopIterations", 1, 1, keep},
-	{"InlineDepth", 1, 1, keep},
-	{"InlineBudget", 0, 0, keep},
-	{"StaticIdeal", false, false, keep},
-	{"CallSiteICMissHandlers", keep, keep, keep},
-	{"PolymorphicInlineCaches", keep, keep, keep},
-	{"SendOverheadExtra", keep, keep, keep},
-	{"ComparisonFacts", false, false, keep},
-	{"AnnotateTypes", false, false, keep},
-	{"NoSuperinstructions", keep, keep, keep},
-	{"PerInstrOverhead", keep, keep, keep},
-	// The lower tiers must run the interpreter even when the base
-	// config asks for the native backend: baseline code exists to be
-	// cheap to produce and to feed inline caches, and degraded code is
-	// the fault-containment path — both stay on the well-exercised
-	// switch loop.
-	{"NativeBackend", false, false, true},
+	{"Name", keep, keep}, // Apply appends the tier suffix itself
+	{"Customization", keep, keep},
+	{"TypeAnalysis", false, false},
+	{"RangeAnalysis", false, false},
+	{"TypePrediction", keep, keep},
+	{"InlineMethods", false, false},
+	{"InlinePrimitives", keep, keep},
+	{"LocalSplitting", keep, false},
+	{"ExtendedSplitting", false, false},
+	{"SplitNodeThreshold", keep, keep},
+	{"MaxFlows", 4, 2},
+	{"IterativeLoops", false, false},
+	{"MultiVersionLoops", false, false},
+	{"MaxLoopIterations", 1, 1},
+	{"InlineDepth", 1, 1},
+	{"InlineBudget", 0, 0},
+	{"StaticIdeal", false, false},
+	{"CallSiteICMissHandlers", keep, keep},
+	{"PolymorphicInlineCaches", keep, keep},
+	{"SendOverheadExtra", keep, keep},
+	{"ComparisonFacts", false, false},
+	{"AnnotateTypes", false, false},
+	{"NoSuperinstructions", keep, keep},
+	{"PerInstrOverhead", keep, keep},
 	// The degraded tier is the fault-containment path: it falls back
 	// to the eager-split world (no version tables, no run-time
 	// specialization machinery) so a bug in BBV materialization
 	// degrades code quality instead of the request. Baseline keeps the
 	// strategy: cheap stub code is exactly what BBV wants to version.
-	{"Strategy", keep, StrategySplit, keep},
-	{"MaxVers", keep, keep, keep},
+	{"Strategy", keep, StrategySplit},
+	{"MaxVers", keep, keep},
 }
 
 // Apply derives the tier's configuration from base. TierOptimizing
@@ -139,14 +121,9 @@ func (t Tier) Apply(base Config) Config {
 	c := base
 	v := reflect.ValueOf(&c).Elem()
 	for _, r := range tierTable {
-		var act any
-		switch t {
-		case TierDegraded:
+		act := r.Baseline
+		if t == TierDegraded {
 			act = r.Degraded
-		case TierNative:
-			act = r.Native
-		default:
-			act = r.Baseline
 		}
 		if _, isKeep := act.(keepT); isKeep {
 			continue

@@ -18,9 +18,9 @@
 //     restored process can re-compile its hot set in the background
 //     before taking traffic instead of re-discovering it under load.
 //
-// Everything else — bytecode, native closures, inline caches, type
-// feedback — is deliberately rebuilt by re-compilation: machine state
-// is a cache over (sources, manifest), never truth.
+// Everything else — bytecode, inline caches, type feedback — is
+// deliberately rebuilt by re-compilation: machine state is a cache
+// over (sources, manifest), never truth.
 //
 // Coordinates. Objects are named by discovery index in a deterministic
 // walk (anchors first — the load-time graph reachable through const

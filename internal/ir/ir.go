@@ -137,7 +137,7 @@ type Node struct {
 	AOp     ArithKind
 	COp     CmpKind
 	Checked bool     // Arith: overflow check present
-	TestMap *obj.Map // TypeTest target map
+	TestMap *obj.Map // TypeTest target map; Fail: receiver map lacking Sel
 	Callee  *Callee  // Call target
 	Blk     *ast.Block
 	Caps    []Capture
@@ -317,7 +317,11 @@ func (n *Node) String() string {
 	case MkBlk:
 		fmt.Fprintf(&b, "r%d <- block (%d captures)", n.Dst, len(n.Caps))
 	case Fail:
-		fmt.Fprintf(&b, "fail %q", n.Sel)
+		if n.TestMap != nil {
+			fmt.Fprintf(&b, "fail %s does not understand %q", n.TestMap.Name, n.Sel)
+		} else {
+			fmt.Fprintf(&b, "fail %q", n.Sel)
+		}
 	case Return:
 		fmt.Fprintf(&b, "return r%d", n.A)
 	case NLReturn:

@@ -7,7 +7,7 @@
 // compile-once architecture (and of the paper's iterative type
 // analysis underneath it) is that compiled, customized, promoted code
 // is REUSED. A replica that keeps seeing the same programs answers
-// from warm cache at native tier; a replica seeing a random sample of
+// from warm cache at the optimizing tier; a replica seeing a random sample of
 // everything re-pays compilation and promotion for every key times N
 // replicas. So the router hashes an affinity key — the tenant header
 // if the client sent one, else the program/expression/benchmark

@@ -172,7 +172,7 @@ func (s *Server) registerMetrics() {
 		metrics.KindCounter, []string{"tier"}, func() []metrics.Sample {
 			counts := s.root.TierCounts()
 			out := make([]metrics.Sample, 0, len(counts))
-			for _, tier := range []string{"baseline", "optimizing", "native", "degraded"} {
+			for _, tier := range []string{"baseline", "optimizing", "degraded"} {
 				if n, ok := counts[tier]; ok {
 					out = append(out, metrics.Sample{Labels: []string{tier}, Value: float64(n)})
 				}

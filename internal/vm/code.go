@@ -187,15 +187,6 @@ type Code struct {
 	// recover-and-resume wrapper entirely.
 	hasLandings bool
 
-	// native, when non-nil, is the closure-threaded lowering of Instrs
-	// (see backend_native.go); run dispatches to the native driver
-	// instead of the switch interpreter. Purely an execution-engine
-	// selection: Instrs stays the single source of truth for tracing,
-	// disassembly and the modelled cost model, and the native driver is
-	// bit-identical in every modelled quantity. Written once by
-	// PrepareNative before the Code is published, immutable after.
-	native *nativeCode
-
 	// bbv, when non-nil, is the lazy basic-block-versioning store for
 	// this code (see internal/bbv and vm/bbv.go): the run loop anchors
 	// a version at entry, advances it across branches, and elides type
@@ -525,6 +516,9 @@ func (in Instr) String() string {
 	case ir.MkBlk:
 		return fmt.Sprintf("r%d <- mkblk (%d caps)", in.Dst, len(in.Caps))
 	case ir.Fail:
+		if in.TestMap != nil {
+			return fmt.Sprintf("fail %s does not understand %q", in.TestMap.Name, in.Sel)
+		}
 		return fmt.Sprintf("fail %q", in.Sel)
 	case ir.Return:
 		return fmt.Sprintf("ret r%d", in.A)

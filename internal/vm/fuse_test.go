@@ -1,7 +1,6 @@
 package vm_test
 
 import (
-	"io"
 	"strings"
 	"testing"
 
@@ -157,46 +156,6 @@ func lookupMeth(t *testing.T, h *harness, sel string) *obj.Method {
 		t.Fatalf("no %q", sel)
 	}
 	return r.Slot.Meth
-}
-
-// TestTracedMatchesFast: the duplicated traced loop must execute
-// identically to the hot loop — same values, same full RunStats (the
-// loops are hand-kept in sync; this is the guard).
-func TestTracedMatchesFast(t *testing.T) {
-	for _, fuse := range []bool{false, true} {
-		mk := func(tr io.Writer) *harness {
-			var h *harness
-			if fuse {
-				h = newFusedHarness(t, core.NewSELF, fuseSrc)
-			} else {
-				h = newHarness(t, core.NewSELF, fuseSrc)
-			}
-			h.vm.Trace = tr
-			return h
-		}
-		fast := mk(nil)
-		traced := mk(io.Discard)
-		for _, c := range []struct {
-			sel  string
-			args []obj.Value
-		}{
-			{"sumTo:", []obj.Value{obj.Int(100)}},
-			{"fib:", []obj.Value{obj.Int(10)}},
-			{"quot:Over:", []obj.Value{obj.Int(5), obj.Int(0)}},
-		} {
-			fv, ferr := fast.vm.RunMethod(lookupMeth(t, fast, c.sel), obj.Obj(fast.w.Lobby), c.args...)
-			tv, terr := traced.vm.RunMethod(lookupMeth(t, traced, c.sel), obj.Obj(traced.w.Lobby), c.args...)
-			if (ferr == nil) != (terr == nil) {
-				t.Fatalf("fused=%v %s: error mismatch: fast=%v traced=%v", fuse, c.sel, ferr, terr)
-			}
-			if ferr == nil && !fv.Eq(tv) {
-				t.Fatalf("fused=%v %s: value mismatch: fast=%s traced=%s", fuse, c.sel, fv, tv)
-			}
-			if fast.vm.Stats != traced.vm.Stats {
-				t.Fatalf("fused=%v %s: stats diverged:\nfast:   %+v\ntraced: %+v", fuse, c.sel, fast.vm.Stats, traced.vm.Stats)
-			}
-		}
-	}
 }
 
 // TestFuseRespectsBranchTargets: an instruction that is a branch target

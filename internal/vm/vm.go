@@ -143,11 +143,6 @@ type VM struct {
 	// Out receives _Print output (defaults to io.Discard).
 	Out io.Writer
 
-	// Trace, when non-nil, receives one line per executed instruction
-	// (pc, rendered instruction, frame depth) — the moral equivalent of
-	// single-stepping the generated SPARC code.
-	Trace io.Writer
-
 	Stats   RunStats
 	Compile CompileRecord
 
@@ -176,12 +171,6 @@ type VM struct {
 	// single per-VM buffer because every consumer copies or consumes the
 	// arguments before any nested guest execution can refill it.
 	argScratch []obj.Value
-
-	// nret carries a Return instruction's value from a native closure
-	// back to the runNative driver (see backend_native.go). One scratch
-	// slot suffices: a VM is single-goroutine, and any nested invoke a
-	// closure performs returns before the outer driver reads the slot.
-	nret obj.Value
 
 	// Cooperative budget state for the current run (see budget.go):
 	// ctx is the cancellation context (nil when none), pollAt the
@@ -513,24 +502,8 @@ func (vm *VM) execFrom(code *Code, fr *frame, startPC int) (val obj.Value, resum
 	return val, -1, err
 }
 
-// run is the backend seam: one frame's execution dispatches to the
-// switch interpreter (runFast), its instrumented twin (runTraced, when
-// single-step tracing is on), or the closure-threaded native driver
-// (runNative, when the code carries a native lowering). All three
-// engines execute the same Instrs stream with identical modelled
-// accounting; tracing deliberately wins over the native lowering so a
-// traced run of native-tier code single-steps the canonical stream.
-func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
-	if vm.Trace != nil {
-		return vm.runTraced(code, fr, pc)
-	}
-	if code.native != nil {
-		return vm.runNative(code, fr, pc)
-	}
-	return vm.runFast(code, fr, pc)
-}
-
-// runFast is the hot interpreter loop.
+// run is the interpreter loop: the one engine that executes a frame's
+// Instrs stream.
 //
 // Cycle accounting is precomputed: every instruction's static modelled
 // cost — and, for superinstructions, the summed cost of all
@@ -539,12 +512,9 @@ func (vm *VM) run(code *Code, fr *frame, pc int) (obj.Value, error) {
 // fill, clone size, send dispatch, primitive calls) remain in the
 // cases. A fused case that bails out early (fault, or a checked-arith
 // branch to the overflow target) uncharges its unexecuted tail,
-// keeping Stats bit-identical to the unfused stream.
-//
-// KEEP IN SYNC with runTraced: the two loops must execute identically;
-// the traced loop only adds the per-instruction trace line. The
-// fused-vs-unfused and traced-vs-fast differential tests pin this.
-func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) {
+// keeping Stats bit-identical to the unfused stream (the fused-vs-
+// unfused differential tests pin this).
+func (vm *VM) run(code *Code, fr *frame, pc int) (val obj.Value, err error) {
 	// As an error unwinds through the activations it grows a Self-level
 	// backtrace, one frame per run invocation; pc holds the faulting
 	// (or calling) instruction when the deferred append runs.
@@ -889,343 +859,6 @@ func (vm *VM) runFast(code *Code, fr *frame, pc int) (val obj.Value, err error) 
 	return obj.Nil(), nil
 }
 
-// runTraced is runFast plus a per-instruction trace line. Fused
-// instructions trace once as their fused rendering (constituents
-// joined), since they dispatch once.
-//
-// KEEP IN SYNC with runFast (see its comment).
-func (vm *VM) runTraced(code *Code, fr *frame, pc int) (val obj.Value, err error) {
-	defer func() {
-		if err != nil {
-			pushFrame(err, code, pc)
-		}
-	}()
-	st := &vm.Stats
-	extra := vm.InstrExtra
-	trackHot := vm.OnHot != nil
-	cowEp := vm.cowEp // non-zero only on copy-on-write forks
-	shapes := vm.World.ShapeTracking
-	bbvOn := code.bbv != nil
-	var ver *bbvVersion
-	if bbvOn && pc == 0 {
-		ver = vm.bbvAnchor(code)
-	}
-	for pc >= 0 && pc < len(code.Instrs) {
-		in := &code.Instrs[pc]
-		fmt.Fprintf(vm.Trace, "%*s%s @%d: %s\n", vm.depth, "", code.Name, pc, in)
-		st.Instrs += int64(in.N)
-		if st.Instrs >= vm.pollAt {
-			if perr := vm.poll(st); perr != nil {
-				return obj.Nil(), perr
-			}
-		}
-		st.Cycles += in.Cost
-		if extra != 0 {
-			st.Cycles += extra * int64(in.N)
-		}
-		switch in.Op {
-		case opJmp:
-			if trackHot && in.T <= pc {
-				vm.noteBackedge(code)
-			}
-			if bbvOn {
-				ver = vm.bbvEdge(code, ver, pc, true, in.T)
-			}
-			pc = in.T
-			continue
-		case ir.Const:
-			fr.regs[in.Dst] = in.Val
-		case ir.Move:
-			fr.regs[in.Dst] = fr.regs[in.A]
-		case ir.LoadF:
-			o := fr.regs[in.A].Obj()
-			if o == nil || in.Index >= len(o.Fields) {
-				return obj.Nil(), errBadField(code, "access")
-			}
-			if cowEp != 0 && o.Ep == cowEp {
-				o = vm.cowShadowed(o)
-			}
-			fr.regs[in.Dst] = o.Fields[in.Index]
-		case ir.StoreF:
-			o := fr.regs[in.A].Obj()
-			if o == nil || in.Index >= len(o.Fields) {
-				return obj.Nil(), errBadField(code, "store")
-			}
-			if o.Ep != vm.curEp {
-				o = vm.storeSlow(o, fr.regs[in.B])
-			}
-			if shapes {
-				vm.World.NoteFieldStore(o.Map, in.Index, fr.regs[in.B])
-			}
-			o.Fields[in.Index] = fr.regs[in.B]
-		case ir.LoadE:
-			o := fr.regs[in.A].Obj()
-			if o == nil {
-				return obj.Nil(), errElemNonObject(code, "load")
-			}
-			i := fr.regs[in.B].I()
-			if i < 0 || i >= int64(len(o.Elems)) {
-				return obj.Nil(), errElemOOB(code, "load", i, len(o.Elems))
-			}
-			if cowEp != 0 && o.Ep == cowEp {
-				o = vm.cowShadowed(o)
-			}
-			fr.regs[in.Dst] = o.Elems[i]
-		case ir.StoreE:
-			o := fr.regs[in.A].Obj()
-			if o == nil {
-				return obj.Nil(), errElemNonObject(code, "store")
-			}
-			i := fr.regs[in.B].I()
-			if i < 0 || i >= int64(len(o.Elems)) {
-				return obj.Nil(), errElemOOB(code, "store", i, len(o.Elems))
-			}
-			if o.Ep != vm.curEp {
-				o = vm.storeSlow(o, fr.regs[in.C])
-			}
-			o.Elems[i] = fr.regs[in.C]
-		case ir.VecLen:
-			o := fr.regs[in.A].Obj()
-			if o == nil {
-				return obj.Nil(), &RuntimeError{Msg: "vecLen of non-vector"}
-			}
-			fr.regs[in.Dst] = obj.Int(int64(len(o.Elems)))
-		case ir.NewVec:
-			if verr := vm.makeVector(st, fr, in); verr != nil {
-				return obj.Nil(), verr
-			}
-		case ir.CloneOp:
-			if cerr := vm.makeClone(st, fr, in); cerr != nil {
-				return obj.Nil(), cerr
-			}
-		case ir.Arith:
-			br, aerr := arithVal(st, in, fr)
-			if aerr != nil {
-				return obj.Nil(), aerr
-			}
-			if br {
-				pc = in.F
-				continue
-			}
-		case ir.CmpBr:
-			if in.bounds {
-				st.BoundsChecks++
-			}
-			taken := cmpTaken(in.COp, fr.regs[in.A], fr.regs[in.B])
-			target := in.F
-			if taken {
-				target = in.T
-			}
-			if bbvOn {
-				ver = vm.bbvEdge(code, ver, pc, taken, target)
-			}
-			pc = target
-			continue
-		case ir.TypeTest:
-			if bbvOn && ver != nil && ver.BranchPC == pc && ver.Elide != bbvElideNone {
-				if taken, ok := vm.bbvElide(st, ver, in); ok {
-					target := in.F
-					if taken {
-						target = in.T
-					}
-					ver = vm.bbvEdge(code, ver, pc, taken, target)
-					pc = target
-					continue
-				}
-			}
-			st.TypeTests++
-			taken := vm.World.MapOf(fr.regs[in.A]) == in.TestMap
-			target := in.F
-			if taken {
-				target = in.T
-			}
-			if bbvOn {
-				ver = vm.bbvEdge(code, ver, pc, taken, target)
-			}
-			pc = target
-			continue
-		case ir.Send:
-			v, serr := vm.execSend(in, fr, code)
-			if serr != nil {
-				return obj.Nil(), serr
-			}
-			if in.Dst != ir.NoReg {
-				fr.regs[in.Dst] = v
-			}
-		case ir.Call:
-			st.Calls++
-			callee, cerr := vm.CodeFor(in.Callee.Meth, in.Callee.RMap)
-			if cerr != nil {
-				return obj.Nil(), cerr
-			}
-			v, cerr := vm.invoke(callee, fr.regs[in.Args[0]], vm.argVals(in.Args[1:], fr), nil)
-			if cerr != nil {
-				return obj.Nil(), cerr
-			}
-			if in.Dst != ir.NoReg {
-				fr.regs[in.Dst] = v
-			}
-		case ir.PrimOp:
-			v, perr := vm.execPrim(in, fr)
-			if perr != nil {
-				return obj.Nil(), perr
-			}
-			if in.Dst != ir.NoReg {
-				fr.regs[in.Dst] = v
-			}
-		case ir.MkBlk:
-			vm.makeBlock(st, fr, in)
-		case ir.Fail:
-			return obj.Nil(), failError(code, fr, in)
-		case ir.Return:
-			return fr.regs[in.A], nil
-		case ir.NLReturn:
-			if fr.home.fr == nil || fr.home.fr.dead {
-				return obj.Nil(), &RuntimeError{Msg: "non-local return from dead home frame"}
-			}
-			panic(nlr{ref: fr.home, val: fr.regs[in.A]})
-		case ir.LoadUp:
-			p := fr.up[in.Sel]
-			if p == nil {
-				return obj.Nil(), &RuntimeError{Msg: "unbound up-level variable " + in.Sel}
-			}
-			fr.regs[in.Dst] = *p
-		case ir.StoreUp:
-			p := fr.up[in.Sel]
-			if p == nil {
-				return obj.Nil(), &RuntimeError{Msg: "unbound up-level variable " + in.Sel}
-			}
-			*p = fr.regs[in.A]
-		case opMoveMove:
-			f := in.Fused
-			fr.regs[in.Dst] = fr.regs[in.A]
-			fr.regs[f.Dst] = fr.regs[f.A]
-		case opConstArith:
-			f := in.Fused
-			fr.regs[in.Dst] = in.Val
-			br, aerr := arithVal(st, f, fr)
-			if aerr != nil {
-				return obj.Nil(), aerr
-			}
-			if br {
-				pc = f.F
-				continue
-			}
-		case opLoadFArith:
-			f := in.Fused
-			o := fr.regs[in.A].Obj()
-			if o == nil || in.Index >= len(o.Fields) {
-				vm.uncharge(st, f)
-				return obj.Nil(), errBadField(code, "access")
-			}
-			if cowEp != 0 && o.Ep == cowEp {
-				o = vm.cowShadowed(o)
-			}
-			fr.regs[in.Dst] = o.Fields[in.Index]
-			br, aerr := arithVal(st, f, fr)
-			if aerr != nil {
-				return obj.Nil(), aerr
-			}
-			if br {
-				pc = f.F
-				continue
-			}
-		case opLoadEArith:
-			f := in.Fused
-			o := fr.regs[in.A].Obj()
-			if o == nil {
-				vm.uncharge(st, f)
-				return obj.Nil(), errElemNonObject(code, "load")
-			}
-			i := fr.regs[in.B].I()
-			if i < 0 || i >= int64(len(o.Elems)) {
-				vm.uncharge(st, f)
-				return obj.Nil(), errElemOOB(code, "load", i, len(o.Elems))
-			}
-			if cowEp != 0 && o.Ep == cowEp {
-				o = vm.cowShadowed(o)
-			}
-			fr.regs[in.Dst] = o.Elems[i]
-			br, aerr := arithVal(st, f, fr)
-			if aerr != nil {
-				return obj.Nil(), aerr
-			}
-			if br {
-				pc = f.F
-				continue
-			}
-		case opArithCmpBr:
-			f := in.Fused
-			br, aerr := arithVal(st, in, fr)
-			if aerr != nil {
-				vm.uncharge(st, f)
-				return obj.Nil(), aerr
-			}
-			if br {
-				vm.uncharge(st, f)
-				pc = in.F
-				continue
-			}
-			if f.bounds {
-				st.BoundsChecks++
-			}
-			if cmpTaken(f.COp, fr.regs[f.A], fr.regs[f.B]) {
-				pc = f.T
-			} else {
-				pc = f.F
-			}
-			continue
-		case opArithJmp:
-			f := in.Fused
-			br, aerr := arithVal(st, in, fr)
-			if aerr != nil {
-				vm.uncharge(st, f)
-				return obj.Nil(), aerr
-			}
-			if br {
-				vm.uncharge(st, f)
-				pc = in.F
-				continue
-			}
-			if trackHot && f.T <= pc {
-				vm.noteBackedge(code)
-			}
-			pc = f.T
-			continue
-		case opConstArithCmpBr:
-			f := in.Fused
-			g := f.Fused
-			fr.regs[in.Dst] = in.Val
-			br, aerr := arithVal(st, f, fr)
-			if aerr != nil {
-				vm.uncharge(st, g)
-				return obj.Nil(), aerr
-			}
-			if br {
-				vm.uncharge(st, g)
-				pc = f.F
-				continue
-			}
-			if g.bounds {
-				st.BoundsChecks++
-			}
-			if cmpTaken(g.COp, fr.regs[g.A], fr.regs[g.B]) {
-				pc = g.T
-			} else {
-				pc = g.F
-			}
-			continue
-		default:
-			return obj.Nil(), &RuntimeError{Msg: "bad opcode " + in.Op.String()}
-		}
-		pc++
-	}
-	if len(fr.regs) > RegSelf {
-		return fr.regs[RegSelf], nil
-	}
-	return obj.Nil(), nil
-}
-
 // uncharge backs out the precharged cost of a superinstruction's
 // unexecuted tail: when a constituent faults or branches to its
 // overflow target, the remaining constituents never run, and the
@@ -1454,22 +1087,28 @@ func (vm *VM) makeBlock(st *RunStats, fr *frame, in *Instr) {
 }
 
 // failError builds the error for an ir.Fail instruction, classifying by
-// the failure the compiler baked in: statically unresolvable sends and
-// the _Error primitive (which the prelude's primitiveFailed: routes
-// through) carry kinds.
+// the failure the compiler baked in: a statically unresolvable send
+// (TestMap is the receiver map lacking Sel) raises the same fault as
+// the run-time lookup, and the _Error primitive (which the prelude's
+// primitiveFailed: routes through) carries its own kind.
 func failError(code *Code, fr *frame, in *Instr) error {
+	if in.TestMap != nil {
+		return errDNU(in.TestMap, in.Sel)
+	}
 	msg := in.Sel
 	if in.A != ir.NoReg {
 		msg += ": " + fr.regs[in.A].String()
 	}
 	kind := KindError
-	switch {
-	case strings.HasPrefix(in.Sel, "doesNotUnderstand:"):
-		kind = KindDoesNotUnderstand
-	case strings.HasPrefix(in.Sel, "_Error"):
+	if strings.HasPrefix(in.Sel, "_Error") {
 		kind = KindPrimitiveFailed
 	}
 	return &RuntimeError{Kind: kind, Msg: fmt.Sprintf("%s (in %s)", msg, code.Name)}
+}
+
+// errDNU is the fault of a send whose receiver map m has no slot sel.
+func errDNU(m *obj.Map, sel string) error {
+	return &RuntimeError{Kind: KindDoesNotUnderstand, Msg: fmt.Sprintf("%s does not understand %q", m.Name, sel)}
 }
 
 func errBadField(code *Code, what string) error {
@@ -1550,8 +1189,7 @@ func (vm *VM) execSend(in *Instr, fr *frame, code *Code) (obj.Value, error) {
 		}
 		r := obj.Lookup(m, in.Sel)
 		if r == nil {
-			return obj.Nil(), &RuntimeError{Kind: KindDoesNotUnderstand,
-				Msg: fmt.Sprintf("%s does not understand %q", m.Name, in.Sel)}
+			return obj.Nil(), errDNU(m, in.Sel)
 		}
 		slot = r.Slot
 		holder = r.Holder

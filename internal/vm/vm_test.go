@@ -311,17 +311,6 @@ func TestBranchTargetsResolved(t *testing.T) {
 	}
 }
 
-func TestTraceOutput(t *testing.T) {
-	h := newHarness(t, core.NewSELF, `go = ( 1 + 2 ).`)
-	var sb strings.Builder
-	h.vm.Trace = &sb
-	h.call(t, "go")
-	out := sb.String()
-	if !strings.Contains(out, "lobby>>go") || !strings.Contains(out, "ret") {
-		t.Errorf("trace output missing content:\n%s", out)
-	}
-}
-
 func TestPolymorphicInlineCache(t *testing.T) {
 	src := `
 	a = (| parent* = lobby. v = ( 1 ) |).

@@ -16,10 +16,8 @@
 // Compilation is tiered (see TierMode): the default mode compiles every
 // method eagerly at the optimizing tier, exactly as the paper's system
 // does; adaptive mode compiles at the cheap baseline tier first and
-// promotes hot methods in the background — first to the optimizing
-// tier, seeded with receiver types harvested from the inline caches,
-// then to the native tier, which runs the same optimizing code on a
-// closure-threaded backend for host speed.
+// promotes hot methods in the background to the optimizing tier,
+// seeded with receiver types harvested from the inline caches.
 package selfgo
 
 import (
@@ -101,7 +99,6 @@ const (
 	TierDegraded   = core.TierDegraded
 	TierBaseline   = core.TierBaseline
 	TierOptimizing = core.TierOptimizing
-	TierNative     = core.TierNative
 )
 
 // RuntimeError kinds, re-exported for hosts that route faults.
@@ -140,16 +137,9 @@ const (
 	// invocation+backedge count reaches the promotion threshold are
 	// recompiled at the optimizing tier in the background, seeded with
 	// receiver-map feedback harvested from the inline caches, and
-	// atomically swapped into the shared code cache. Optimizing code
-	// that stays hot is promoted once more, to the native tier — the
-	// same optimizing stream lowered onto the closure-threaded backend
-	// (see TierNative).
+	// atomically swapped into the shared code cache. The optimizing
+	// tier is the top: promoted code never promotes again.
 	ModeAdaptive
-	// ModeNative compiles every method eagerly at the native tier: the
-	// optimizing configuration lowered onto the closure-threaded
-	// backend. Bit-identical to ModeOpt in every modelled quantity (the
-	// native differential oracle pins this); only host speed differs.
-	ModeNative
 )
 
 func (m TierMode) String() string {
@@ -160,8 +150,6 @@ func (m TierMode) String() string {
 		return "baseline"
 	case ModeAdaptive:
 		return "adaptive"
-	case ModeNative:
-		return "native"
 	}
 	return fmt.Sprintf("TierMode(%d)", int(m))
 }
@@ -175,10 +163,8 @@ func TierModeByName(name string) (TierMode, error) {
 		return ModeBaseline, nil
 	case "adaptive":
 		return ModeAdaptive, nil
-	case "native":
-		return ModeNative, nil
 	}
-	return ModeOpt, fmt.Errorf("unknown tier mode %q (want opt, baseline, adaptive or native)", name)
+	return ModeOpt, fmt.Errorf("unknown tier mode %q (want opt, baseline, adaptive)", name)
 }
 
 // DefaultPromoteThreshold is the invocation+backedge count at which
@@ -224,15 +210,13 @@ type System struct {
 	world *obj.World
 
 	// One pipeline per tier, all derived from Cfg through the tier
-	// table. pipeOpt is the eager/first-promotion target, pipeNative
-	// the top tier (ModeNative's eager tier and the adaptive second
-	// promotion rung), pipeBase the cheap first tier of
-	// baseline/adaptive modes, pipeDeg the crash-recovery fallback when
-	// a compilation fails or panics.
-	pipeOpt    *core.Pipeline
-	pipeNative *core.Pipeline
-	pipeBase   *core.Pipeline
-	pipeDeg    *core.Pipeline
+	// table. pipeOpt is ModeOpt's eager tier and the adaptive promotion
+	// target, pipeBase the cheap first tier of baseline/adaptive modes,
+	// pipeDeg the crash-recovery fallback when a compilation fails or
+	// panics.
+	pipeOpt  *core.Pipeline
+	pipeBase *core.Pipeline
+	pipeDeg  *core.Pipeline
 
 	machine *vm.VM
 
@@ -332,7 +316,7 @@ func (a *promAgg) record(d time.Duration) {
 type MethodCompile struct {
 	Name string
 	// Tier labels the tier this compilation ran at ("baseline",
-	// "optimizing", "native", "degraded").
+	// "optimizing", "degraded").
 	Tier  string
 	Stats core.Stats
 	Bytes int
@@ -409,7 +393,6 @@ func newSystem(cfg Config, shared *codecache.Cache[*vm.Code], mode TierMode, pro
 		sources: &sourceLog{},
 	}
 	s.pipeOpt = core.NewPipeline(w, cfg, core.TierOptimizing)
-	s.pipeNative = core.NewPipeline(w, cfg, core.TierNative)
 	s.pipeBase = core.NewPipeline(w, cfg, core.TierBaseline)
 	s.pipeDeg = core.NewPipeline(w, cfg, core.TierDegraded)
 	s.machine = s.newVM()
@@ -481,11 +464,8 @@ func (s *System) compileBlockAt(p *core.Pipeline, b *ast.Block, upNames []string
 // firstTier is the pipeline a fresh compilation starts at under the
 // system's mode.
 func (s *System) firstTier() *core.Pipeline {
-	switch s.Mode {
-	case ModeOpt:
+	if s.Mode == ModeOpt {
 		return s.pipeOpt
-	case ModeNative:
-		return s.pipeNative
 	}
 	return s.pipeBase
 }
@@ -548,20 +528,14 @@ func (s *System) newVM() *vm.VM {
 // onHot runs on m's goroutine when code first crosses the promotion
 // threshold: harvest the receiver maps m's inline caches observed, then
 // ask the shared cache to recompile the method one tier up in the
-// background, seeded with that feedback. Promotion climbs two rungs —
-// baseline (or degraded) code recompiles at the optimizing tier, and
-// optimizing code that stays hot recompiles once more at the native
-// tier; native code is the top and never promotes. The swap is atomic
-// under the cache's generation discipline; a failed promotion keeps the
-// current tier's code resident.
+// background, seeded with that feedback. Baseline (or degraded) code
+// recompiles at the optimizing tier, which is the top and never
+// promotes. The swap is atomic under the cache's generation discipline;
+// a failed promotion keeps the current tier's code resident.
 func (s *System) onHot(m *vm.VM, code *vm.Code) {
-	if code.Origin.Meth == nil || code.TierLabel == core.TierNative.String() {
-		// Blocks don't promote; native code is the top tier.
+	if code.Origin.Meth == nil || code.TierLabel == core.TierOptimizing.String() {
+		// Blocks don't promote; optimizing code is the top tier.
 		return
-	}
-	target := s.pipeOpt
-	if code.TierLabel == core.TierOptimizing.String() {
-		target = s.pipeNative
 	}
 	fb := m.Harvest(code)
 	m.Stats.Harvests++
@@ -570,7 +544,7 @@ func (s *System) onHot(m *vm.VM, code *vm.Code) {
 	started := s.shared.Promote(
 		codecache.Key{Meth: meth, RMap: rmap, Strat: uint8(s.Cfg.Strategy)},
 		func() (*vm.Code, error) {
-			return s.compileMethodAt(target, meth, rmap, fb)
+			return s.compileMethodAt(s.pipeOpt, meth, rmap, fb)
 		},
 		func(_ *vm.Code, err error, installed bool) {
 			if installed {
@@ -598,7 +572,6 @@ func (s *System) Fork() (*System, error) {
 		Mode:             s.Mode,
 		world:            s.world,
 		pipeOpt:          s.pipeOpt,
-		pipeNative:       s.pipeNative,
 		pipeBase:         s.pipeBase,
 		pipeDeg:          s.pipeDeg,
 		shared:           s.shared,
@@ -698,7 +671,7 @@ func (s *System) PromotionStats() PromotionStats {
 }
 
 // TierCounts sums compile-log entries per tier label ("baseline",
-// "optimizing", "native", "degraded"), across every forked worker.
+// "optimizing", "degraded"), across every forked worker.
 func (s *System) TierCounts() map[string]int {
 	out := map[string]int{}
 	for _, e := range s.log.snapshot() {

@@ -326,9 +326,8 @@ func TestConcurrentAdaptivePromotion(t *testing.T) {
 	}
 
 	// No double compile: single-flight holds per tier — each method
-	// compiles at most once at baseline (Get flight), at most once at
-	// optimizing (first promotion rung) and at most once at native
-	// (second rung), across all 8 workers.
+	// compiles at most once at baseline (Get flight) and at most once at
+	// optimizing (promotion), across all 8 workers.
 	perTier := map[string]map[string]int{}
 	for _, e := range root.CompileLog() {
 		if perTier[e.Tier] == nil {
@@ -343,10 +342,9 @@ func TestConcurrentAdaptivePromotion(t *testing.T) {
 			}
 		}
 	}
-	// Every install is exactly one promotion compile: an optimizing
-	// compile for the first rung, a native compile for the second.
-	if n := len(perTier["optimizing"]) + len(perTier["native"]); int64(n) != ps.Installed {
-		t.Errorf("%d optimizing+native compiles vs %d installs: promotions must account one compile each",
+	// Every install is exactly one optimizing promotion compile.
+	if n := len(perTier["optimizing"]); int64(n) != ps.Installed {
+		t.Errorf("%d optimizing compiles vs %d installs: promotions must account one compile each",
 			n, ps.Installed)
 	}
 

@@ -253,12 +253,12 @@ func (b *Boot) Prepromote(workers int) (compiled, failed int) {
 }
 
 // pipelineFor maps a recorded tier label back to this system's
-// pipeline for that tier.
+// pipeline for that tier. Images from builds that had a native top tier
+// label its entries "native": that code was the optimizing tier's
+// instruction stream, so it restores at the optimizing tier.
 func (s *System) pipelineFor(tier string) *core.Pipeline {
 	switch tier {
-	case core.TierNative.String():
-		return s.pipeNative
-	case core.TierOptimizing.String():
+	case core.TierOptimizing.String(), "native":
 		return s.pipeOpt
 	case core.TierDegraded.String():
 		return s.pipeDeg
